@@ -59,6 +59,30 @@ fn analyze_json_snapshots_on_corpus() {
     }
 }
 
+/// Pin the θ `--stats --json` bytes: per-SCC FM counters and the
+/// projection-cache totals. Each entry covers one path through the
+/// pipeline: a plain proof (`perm`), the Appendix A transform retry
+/// (`appendix_a1`), the Appendix C δ mode (`expr_parser`), and projection-
+/// cache hits (`mutual_fib_ring`).
+#[test]
+fn analyze_stats_json_snapshots_on_corpus() {
+    let cases = [
+        ("perm", DeltaMode::Paper, "perm"),
+        ("appendix_a1", DeltaMode::Paper, "appendix_a1"),
+        ("expr_parser", DeltaMode::PathConstraints, "expr_parser-appendix-c"),
+        ("mutual_fib_ring", DeltaMode::Paper, "mutual_fib_ring"),
+    ];
+    for (name, delta_mode, golden) in cases {
+        let entry = argus::corpus::find(name).expect(name);
+        let program = entry.program().unwrap();
+        let (query, adornment) = entry.query_key();
+        let options = AnalysisOptions { parallelism: 1, delta_mode, ..AnalysisOptions::default() };
+        let json = analyze(&program, &query, adornment, &options).to_json_with(true);
+        assert_has_keys(&json, &["query", "verdict", "sccs", "stats", "run_stats"]);
+        check_golden(&format!("analyze/stats/{golden}.json"), &json);
+    }
+}
+
 /// Replace every integer that appears as a JSON *value* (a digit run
 /// right after `:`) with `0`, leaving key names (`le_50`) and the schema
 /// string untouched. Counter values vary run to run; the key set, nesting,
