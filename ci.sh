@@ -31,6 +31,13 @@ cargo build --release --workspace "${CARGO_FLAGS[@]}"
 echo "==> cargo test"
 cargo test --workspace --release -q "${CARGO_FLAGS[@]}"
 
+echo "==> benchmark crate"
+# benchmark/ is a Cargo workspace of its own (it builds against crates/ by
+# path), so the workspace build and tests above never compile it: build
+# and test it here so an API change it depends on fails the gate.
+cargo build --release --manifest-path benchmark/Cargo.toml "${CARGO_FLAGS[@]}"
+cargo test -q --manifest-path benchmark/Cargo.toml "${CARGO_FLAGS[@]}"
+
 echo "==> fuzz smoke"
 # Differential/metamorphic soundness harness over a fixed seed set, at two
 # parallelism settings; the reports must match byte for byte. Any

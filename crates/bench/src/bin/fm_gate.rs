@@ -54,12 +54,6 @@ const FLOORS: &[Check] = &[
         key: "cache_hits",
         floor: 1.0,
     },
-    // And be off when disabled.
-    Check::Max {
-        id: "fm_redundancy/analyze/mutual_fib_ring/tier2/nocache",
-        key: "cache_hits",
-        ceil: 0.0,
-    },
 ];
 
 enum Check {
@@ -67,8 +61,6 @@ enum Check {
     Ratio { num: &'static str, den: &'static str, key: &'static str, floor: f64 },
     /// `counters[key]` of sample `id` must be ≥ `floor`.
     Min { id: &'static str, key: &'static str, floor: f64 },
-    /// `counters[key]` of sample `id` must be ≤ `ceil`.
-    Max { id: &'static str, key: &'static str, ceil: f64 },
 }
 
 fn counter(samples: &BTreeMap<String, String>, id: &str, key: &str) -> Result<f64, String> {
@@ -118,17 +110,6 @@ fn run(path: &str) -> Result<Vec<String>, String> {
                 ));
                 if !ok {
                     failures.push(format!("{id} {key} = {v:.0} < {floor}"));
-                }
-            }
-            Check::Max { id, key, ceil } => {
-                let v = counter(&samples, id, key)?;
-                let ok = v <= *ceil;
-                report.push(format!(
-                    "{} {id} {key} = {v:.0} (ceiling {ceil})",
-                    if ok { "ok  " } else { "FAIL" }
-                ));
-                if !ok {
-                    failures.push(format!("{id} {key} = {v:.0} > {ceil}"));
                 }
             }
         }

@@ -284,7 +284,7 @@ fn fm_counters(stats: &fm::FmStats) -> Vec<(&'static str, u64)> {
 /// E11 — FM blowup control: the redundancy-elimination tiers measured on
 /// (a) raw dense projections, (b) the instrumented size-relation inference
 /// of the FM-heavy `mutual_fib_ring` corpus entry, and (c) the end-to-end
-/// analysis with the per-SCC projection cache on and off. Every sample
+/// analysis with its per-run projection cache. Every sample
 /// carries the deterministic FM row counters, so `fm_gate` can pin floors
 /// on the *row reduction* itself rather than on noisy wall time.
 pub fn fm_redundancy_suite(scale: Scale) -> Vec<Sample> {
@@ -366,34 +366,30 @@ pub fn fm_redundancy_suite(scale: Scale) -> Vec<Sample> {
         );
     }
 
-    // (c) End-to-end analysis of the ring at the feasible tiers, with the
-    // per-SCC projection cache on and off. (Tiers 0–1 are omitted: on this
-    // entry their pair projections run for minutes — the blowup the tiers
-    // exist to prevent.)
+    // (c) End-to-end analysis of the ring: θ runs at the default tier
+    // (2) with the per-run projection cache. (Tiers 0–1 could not be
+    // measured here anyway: on this entry their pair projections run for
+    // minutes — the blowup the tiers exist to prevent.)
     let (query, adornment) = entry.query_key();
-    for tier in [FmTier::Chernikov, FmTier::Lp] {
-        for (label, fm_cache) in [("cache", true), ("nocache", false)] {
-            let options = AnalysisOptions { fm_tier: tier, fm_cache, ..AnalysisOptions::default() };
-            let report = analyze(&program, &query, adornment.clone(), &options);
-            let mut stats = fm::FmStats::default();
-            for scc in &report.sccs {
-                stats.merge(&scc.stats.fm);
-            }
-            let mut counters = fm_counters(&stats);
-            counters.push(("cache_requests", report.run_stats.cache_requests));
-            counters.push(("cache_hits", report.run_stats.cache_hits()));
-            out.push(
-                bench_case(
-                    "fm_redundancy",
-                    &format!("analyze/mutual_fib_ring/tier{}/{label}", tier.index()),
-                    1,
-                    scale.iters(),
-                    || black_box(analyze(black_box(&program), &query, adornment.clone(), &options)),
-                )
-                .with_counters(counters.clone()),
-            );
-        }
+    let options = AnalysisOptions::default();
+    let report = analyze(&program, &query, adornment.clone(), &options);
+    let mut stats = fm::FmStats::default();
+    for scc in &report.sccs {
+        stats.merge(&scc.stats.fm);
     }
+    let mut counters = fm_counters(&stats);
+    counters.push(("cache_requests", report.run_stats.cache_requests));
+    counters.push(("cache_hits", report.run_stats.cache_hits()));
+    out.push(
+        bench_case(
+            "fm_redundancy",
+            "analyze/mutual_fib_ring/tier2/cache",
+            1,
+            scale.iters(),
+            || black_box(analyze(black_box(&program), &query, adornment.clone(), &options)),
+        )
+        .with_counters(counters),
+    );
     out
 }
 

@@ -25,13 +25,13 @@ use crate::incremental::{IncrementalRunStats, SccCache};
 use crate::negweight::{positive_cycle_constraints, DeltaVars};
 use crate::pairs::{ProjectionCache, RuleSubgoalSystem};
 use crate::theta::ThetaSpace;
-use argus_linear::fm::{FmStats, FmTier};
+use argus_linear::fm::FmStats;
 use argus_linear::{ConstraintSystem, Rat, Var};
 use argus_logic::modes::{Adornment, ModeMap};
 use argus_logic::span::Span;
 use argus_logic::{DepGraph, PredKey, Program, Rule};
-use argus_sizerel::{infer_size_relations, InferOptions, SizeRelations};
-use std::collections::{BTreeMap, BTreeSet};
+use argus_sizerel::{InferOptions, SizeRelations};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 /// How δ decrements are chosen for mutual recursion.
@@ -84,13 +84,6 @@ pub struct AnalysisOptions {
     /// result — report text, certificates, JSON — is byte-identical at
     /// every setting.
     pub parallelism: usize,
-    /// Fourier–Motzkin redundancy tier for the per-pair dual projections
-    /// (debug knob; the analysis result is byte-identical at every tier,
-    /// only the work done differs).
-    pub fm_tier: FmTier,
-    /// Share structurally identical per-pair projections through a per-run
-    /// cache (on by default; another bytes-identical knob).
-    pub fm_cache: bool,
     /// Wall-clock deadline for the whole analysis. Threaded into the
     /// Fourier–Motzkin engine ([`argus_linear::FmConfig::deadline`]) so a
     /// runaway projection aborts mid-elimination, and checked before the
@@ -113,8 +106,6 @@ impl Default for AnalysisOptions {
             lexicographic: false,
             restrict_imports_to_binary_orders: false,
             parallelism: 0,
-            fm_tier: FmTier::default(),
-            fm_cache: true,
             deadline: None,
         }
     }
@@ -501,43 +492,32 @@ pub fn analyze(
     adornment: Adornment,
     options: &AnalysisOptions,
 ) -> TerminationReport {
-    analyze_with_cache(program, query, adornment, options, None)
+    analyze_with_caches(program, query, adornment, options, None, None)
 }
 
-/// [`analyze`] with an externally owned projection cache.
+/// [`analyze`] with an externally owned projection cache and per-SCC memo.
+///
+/// Both per-SCC computations of the pipeline — the size-relation fixpoint
+/// and the θ analysis — are keyed on a content hash of the SCC's rules plus
+/// its imported inputs and answered from the memo when unchanged (see
+/// [`crate::incremental`]). With `scc_memo` supplied (`argus analyze
+/// --incremental`, `argus watch`, the serve layer's SCC cache) only the
+/// dirty SCC cone recomputes after an edit, and
+/// [`TerminationReport::incremental`] carries the hit/miss counters. With
+/// `None` the run uses an empty in-memory memo of its own and leaves
+/// `incremental` unset; the raw pass and the Appendix A retry share it.
 ///
 /// When `shared_cache` is `Some`, per-pair dual projections are looked up
 /// in — and published to — the supplied cache instead of a cache created
 /// for this run, letting a long-lived process (the `argus serve` worker
 /// pool) reuse projections across analyses. The cache is keyed on
 /// canonical renamed rows plus the FM tier and row cap, and entries are
-/// pure functions of their key, so sharing cannot change any report byte;
-/// only [`RunStats`] (which then snapshots the shared cache's lifetime
-/// totals) differs from the per-run configuration. With `None` this is
-/// exactly [`analyze`].
-pub fn analyze_with_cache(
-    program: &Program,
-    query: &PredKey,
-    adornment: Adornment,
-    options: &AnalysisOptions,
-    shared_cache: Option<&ProjectionCache>,
-) -> TerminationReport {
-    analyze_with_caches(program, query, adornment, options, shared_cache, None)
-}
-
-/// [`analyze_with_cache`] with an additional per-SCC memo (the incremental
-/// mode behind `argus analyze --incremental`, `argus watch`, and the serve
-/// layer's SCC cache).
+/// pure functions of their key, so sharing cannot change any report byte.
 ///
-/// With `scc_memo` supplied, both per-SCC computations of the pipeline —
-/// the size-relation fixpoint and the θ analysis — are keyed on a content
-/// hash of the SCC's rules plus its imported inputs and answered from the
-/// memo when unchanged (see [`crate::incremental`]). After an edit only
-/// the dirty SCC cone recomputes, and the resulting report is
-/// byte-identical to a cold run in its text and default-JSON forms.
-/// [`RunStats`] (projection-cache totals, `--stats` only) legitimately
-/// differs — cache hits skip projections entirely — and
-/// [`TerminationReport::incremental`] is populated with hit/miss counters.
+/// The report text and default JSON are byte-identical whatever the caches
+/// hold. [`RunStats`] (projection-cache totals, `--stats` only)
+/// legitimately differs: memo hits skip projections entirely, and a shared
+/// projection cache reports its lifetime totals.
 pub fn analyze_with_caches(
     program: &Program,
     query: &PredKey,
@@ -546,7 +526,32 @@ pub fn analyze_with_caches(
     shared_cache: Option<&ProjectionCache>,
     scc_memo: Option<&SccCache>,
 ) -> TerminationReport {
-    let raw = analyze_prepared(program, query, adornment.clone(), options, shared_cache, scc_memo);
+    let own_memo;
+    let memo = match scc_memo {
+        Some(memo) => memo,
+        None => {
+            own_memo = SccCache::unbounded();
+            &own_memo
+        }
+    };
+    let mut report = analyze_lazily(program, query, adornment, options, shared_cache, memo);
+    if scc_memo.is_none() {
+        report.incremental = None;
+    }
+    report
+}
+
+/// The raw pass, then — unless it proved termination — the Appendix A
+/// transform retry.
+fn analyze_lazily(
+    program: &Program,
+    query: &PredKey,
+    adornment: Adornment,
+    options: &AnalysisOptions,
+    shared_cache: Option<&ProjectionCache>,
+    memo: &SccCache,
+) -> TerminationReport {
+    let raw = analyze_prepared(program, query, adornment.clone(), options, shared_cache, memo);
     if raw.verdict == Verdict::Terminates || options.transform_phases == 0 {
         return raw;
     }
@@ -560,7 +565,7 @@ pub fn analyze_with_caches(
     if transformed == *program || transformed.rules.len() > 1000 {
         return raw; // nothing changed, or growth guard tripped
     }
-    let cooked = analyze_prepared(&transformed, query, adornment, options, shared_cache, scc_memo);
+    let cooked = analyze_prepared(&transformed, query, adornment, options, shared_cache, memo);
     if cooked.verdict == Verdict::Terminates {
         return cooked;
     }
@@ -580,14 +585,12 @@ fn analyze_prepared(
     adornment: Adornment,
     options: &AnalysisOptions,
     shared_cache: Option<&ProjectionCache>,
-    scc_memo: Option<&SccCache>,
+    memo: &SccCache,
 ) -> TerminationReport {
-    let program = program.clone();
-
     // 2. Adorn: one predicate copy per calling adornment, so every
     // predicate has a single bound-free adornment (the paper's standing
     // assumption in §3).
-    let adorned = argus_logic::adorn_program(&program, query, adornment);
+    let adorned = argus_logic::adorn_program(program, query, adornment);
     let program = adorned.program;
     let query = &adorned.query;
     let modes = adorned.modes;
@@ -596,21 +599,17 @@ fn analyze_prepared(
     let proc_index = argus_logic::program::ProcIndex::build(&program);
     let mut incr = IncrementalRunStats::default();
 
-    // 3. Size relations (inferred under the analysis norm). The memoized
-    // path walks the same SCCs in the same order with the same per-SCC
-    // fixpoint, so its result is byte-identical to the cold inference.
+    // 3. Size relations (inferred under the analysis norm), SCC by SCC
+    // through the memo.
     let infer_options = InferOptions { norm: options.norm, ..options.infer.clone() };
-    let mut rels = match scc_memo {
-        None => infer_size_relations(&program, &infer_options),
-        Some(memo) => crate::incremental::incremental_size_relations(
-            &program,
-            &graph,
-            &proc_index,
-            &infer_options,
-            memo,
-            &mut incr,
-        ),
-    };
+    let mut rels = crate::incremental::incremental_size_relations(
+        &program,
+        &graph,
+        &proc_index,
+        &infer_options,
+        memo,
+        &mut incr,
+    );
     for (p, poly) in &options.imported {
         rels.insert(p.clone(), poly.clone());
     }
@@ -619,26 +618,36 @@ fn analyze_prepared(
     }
     // Digests of the final relations, for θ-phase memo keys (computed once
     // up front so the per-SCC workers share an immutable map).
-    let rel_digests: Option<std::collections::HashMap<PredKey, u64>> = scc_memo.map(|_| {
-        rels.iter().map(|(p, poly)| (p.clone(), crate::incremental::poly_digest(poly))).collect()
-    });
+    let rel_digests: HashMap<PredKey, u64> =
+        rels.iter().map(|(p, poly)| (p.clone(), crate::incremental::poly_digest(poly))).collect();
 
     // 4. SCCs bottom-up, scheduled by topological level. The size
-    // relations every SCC imports (§6.2) were inferred globally above, so
-    // SCCs on the same level share only immutable inputs and fan out
-    // across the worker pool. Results land in per-SCC slots and are
-    // emitted in the sequential path's exact bottom-up order, so the
-    // report (and everything derived from it) is byte-identical at any
-    // parallelism.
+    // relations every SCC imports (§6.2) were inferred above, so SCCs on
+    // the same level share only immutable inputs and fan out across the
+    // worker pool. Results land in per-SCC slots and are emitted in the
+    // sequential path's exact bottom-up order, so the report (and
+    // everything derived from it) is byte-identical at any parallelism.
     //
     // One projection cache per run, shared by every SCC and every worker —
     // unless the caller supplied a longer-lived one.
-    let own_cache = match shared_cache {
-        Some(_) => None,
-        None if options.fm_cache => Some(ProjectionCache::new()),
-        None => None,
+    let own_cache;
+    let cache = match shared_cache {
+        Some(cache) => cache,
+        None => {
+            own_cache = ProjectionCache::new();
+            &own_cache
+        }
     };
-    let cache = shared_cache.or(own_cache.as_ref());
+    let ctx = SccContext {
+        graph: &graph,
+        program: &program,
+        modes: &modes,
+        rels: &rels,
+        rel_digests: &rel_digests,
+        options,
+        cache,
+        memo,
+    };
     let mut slots: Vec<Option<SccAnalysis>> = (0..graph.scc_count()).map(|_| None).collect();
     for level in graph.scc_levels() {
         // Skip SCCs not reachable from the query (no adornment) and
@@ -653,19 +662,13 @@ fn analyze_prepared(
             })
             .collect();
         let workers = crate::par::effective_workers(options.parallelism, jobs.len());
-        let results = crate::par::par_map_indexed(&jobs, workers, |_, &scc_id| {
-            match (scc_memo, &rel_digests) {
-                (Some(memo), Some(digests)) => analyze_one_scc_memo(
-                    &graph, &program, scc_id, &modes, &rels, digests, options, cache, memo,
-                ),
-                _ => (analyze_one_scc(&graph, &program, scc_id, &modes, &rels, options, cache), 0),
-            }
-        });
-        for (id, (analysis, memo_flag)) in jobs.into_iter().zip(results) {
-            match memo_flag {
-                THETA_HIT => incr.theta_hits += 1,
-                THETA_MISS => incr.theta_misses += 1,
-                _ => {}
+        let results =
+            crate::par::par_map_indexed(&jobs, workers, |_, &scc_id| ctx.analyze_one_scc(scc_id));
+        for (id, (analysis, theta_hit)) in jobs.into_iter().zip(results) {
+            match theta_hit {
+                Some(true) => incr.theta_hits += 1,
+                Some(false) => incr.theta_misses += 1,
+                None => {}
             }
             slots[id] = Some(analysis);
         }
@@ -685,10 +688,7 @@ fn analyze_prepared(
         sccs.push(analysis);
     }
 
-    let run_stats = match cache {
-        Some(c) => RunStats { cache_requests: c.requests(), cache_entries: c.entries() },
-        None => RunStats::default(),
-    };
+    let run_stats = RunStats { cache_requests: cache.requests(), cache_entries: cache.entries() };
     TerminationReport {
         program,
         query: query.clone(),
@@ -697,113 +697,256 @@ fn analyze_prepared(
         sccs,
         verdict,
         run_stats,
-        incremental: scc_memo.map(|_| incr),
+        incremental: Some(incr),
     }
 }
 
-/// θ-phase memo flags returned by [`analyze_one_scc_memo`].
-const THETA_HIT: u8 = 1;
-/// See [`THETA_HIT`].
-const THETA_MISS: u8 = 2;
-
-/// [`analyze_one_scc`] with a memo: recursive SCCs are keyed on their
-/// rules, adornments, and imported size relations, and replayed from the
-/// memo when unchanged. Nonrecursive SCCs are computed directly (the
-/// short-circuit is cheaper than a probe). Returns the analysis plus a
-/// flag: 0 unmemoized, [`THETA_HIT`], or [`THETA_MISS`].
-#[allow(clippy::too_many_arguments)] // same shared context as analyze_one_scc
-fn analyze_one_scc_memo(
-    graph: &DepGraph,
-    program: &Program,
-    scc_id: usize,
-    modes: &ModeMap,
-    rels: &SizeRelations,
-    rel_digests: &std::collections::HashMap<PredKey, u64>,
-    options: &AnalysisOptions,
-    cache: Option<&ProjectionCache>,
-    memo: &SccCache,
-) -> (SccAnalysis, u8) {
-    let started = std::time::Instant::now();
-    let members: Vec<PredKey> = graph.scc(scc_id);
-    if !members.iter().any(|p| graph.is_recursive(p)) {
-        return (analyze_one_scc(graph, program, scc_id, modes, rels, options, cache), 0);
-    }
-    let rules = graph.scc_rules(program, scc_id);
-    let mentioned: Vec<PredKey> = {
-        let mut set: BTreeSet<PredKey> = BTreeSet::new();
-        for r in &rules {
-            set.insert(PredKey { name: r.head.name, arity: r.head.args.len() });
-            for l in &r.body {
-                set.insert(PredKey { name: l.atom.name, arity: l.atom.args.len() });
-            }
-        }
-        set.into_iter().collect()
-    };
-    let key =
-        crate::incremental::theta_key(&members, &rules, &mentioned, modes, rel_digests, options);
-    if let Some(body) = memo.get(&key) {
-        if let Some(mut analysis) =
-            crate::incremental::decode_theta_entry(&body, &members, &rules, modes)
-        {
-            analysis.stats.wall_nanos = started.elapsed().as_nanos();
-            return (analysis, THETA_HIT);
-        }
-    }
-    let analysis = analyze_one_scc(graph, program, scc_id, modes, rels, options, cache);
-    // Deadline safety: FM aborts only fire once the wall clock passes the
-    // deadline, so an SCC finishing *before* the deadline cannot contain a
-    // degraded projection — only those results are published.
-    if options.deadline.is_none_or(|d| std::time::Instant::now() < d) {
-        memo.put(&key, &crate::incremental::encode_theta_entry(&analysis));
-    }
-    (analysis, THETA_MISS)
+/// The immutable inputs every per-SCC θ analysis of one pass shares.
+struct SccContext<'a> {
+    graph: &'a DepGraph,
+    program: &'a Program,
+    modes: &'a ModeMap,
+    rels: &'a SizeRelations,
+    /// Digest of each final size relation, for the θ memo keys.
+    rel_digests: &'a HashMap<PredKey, u64>,
+    options: &'a AnalysisOptions,
+    cache: &'a ProjectionCache,
+    memo: &'a SccCache,
 }
 
-/// Analyze one SCC end-to-end: nonrecursive short-circuit, the θ search,
-/// and the optional lexicographic fallback. Reads only shared immutable
-/// inputs, so SCCs on the same topological level can run concurrently.
-fn analyze_one_scc(
-    graph: &DepGraph,
-    program: &Program,
-    scc_id: usize,
-    modes: &ModeMap,
-    rels: &SizeRelations,
-    options: &AnalysisOptions,
-    cache: Option<&ProjectionCache>,
-) -> SccAnalysis {
-    let started = std::time::Instant::now();
-    let mut analysis = (|| {
-        let members: Vec<PredKey> = graph.scc(scc_id);
-        let recursive = members.iter().any(|p| graph.is_recursive(p));
-        if !recursive {
-            return SccAnalysis {
+impl SccContext<'_> {
+    /// Analyze one SCC end-to-end: nonrecursive short-circuit, then the θ
+    /// search with the optional lexicographic fallback, keyed on the SCC's
+    /// rules, adornments and imported size relations and replayed from the
+    /// memo when unchanged. Returns the analysis plus the memo outcome:
+    /// `None` for a nonrecursive SCC (the short-circuit is cheaper than a
+    /// probe), else `Some(hit)`.
+    fn analyze_one_scc(&self, scc_id: usize) -> (SccAnalysis, Option<bool>) {
+        let started = std::time::Instant::now();
+        let members: Vec<PredKey> = self.graph.scc(scc_id);
+        if !members.iter().any(|p| self.graph.is_recursive(p)) {
+            let analysis = SccAnalysis {
                 members,
                 outcome: SccOutcome::NonRecursive,
                 theta_constraints: ConstraintSystem::new(),
                 theta_space: ThetaSpace::new(),
                 pair_count: 0,
                 blame: None,
-                stats: SccStats::default(),
+                stats: SccStats { wall_nanos: started.elapsed().as_nanos(), ..SccStats::default() },
             };
+            return (analysis, None);
         }
-        let mut analysis =
-            analyze_scc(graph, program, scc_id, &members, modes, rels, options, cache);
-        if !analysis.outcome.is_proved() && options.lexicographic {
+        let rules = self.graph.scc_rules(self.program, scc_id);
+        let mentioned: Vec<PredKey> = {
+            let mut set: BTreeSet<PredKey> = BTreeSet::new();
+            for r in &rules {
+                set.insert(PredKey { name: r.head.name, arity: r.head.args.len() });
+                for l in &r.body {
+                    set.insert(PredKey { name: l.atom.name, arity: l.atom.args.len() });
+                }
+            }
+            set.into_iter().collect()
+        };
+        let key = crate::incremental::theta_key(
+            &members,
+            &rules,
+            &mentioned,
+            self.modes,
+            self.rel_digests,
+            self.options,
+        );
+        let cached = self.memo.get(&key).and_then(|body| {
+            crate::incremental::decode_theta_entry(&body, &members, &rules, self.modes)
+        });
+        if let Some(mut analysis) = cached {
+            analysis.stats.wall_nanos = started.elapsed().as_nanos();
+            return (analysis, Some(true));
+        }
+        let mut analysis = self.analyze_scc(&rules, &members);
+        if !analysis.outcome.is_proved() && self.options.lexicographic {
             if let Some(proof) = crate::lexico::prove_scc_lexicographic(
-                program,
-                graph,
+                self.program,
+                self.graph,
                 scc_id,
-                modes,
-                rels,
-                options.norm,
+                self.modes,
+                self.rels,
+                self.options.norm,
             ) {
                 analysis.outcome = SccOutcome::ProvedLexicographic { proof };
             }
         }
-        analysis
-    })();
-    analysis.stats.wall_nanos = started.elapsed().as_nanos();
-    analysis
+        // Deadline safety: FM aborts only fire once the wall clock passes
+        // the deadline, so an SCC finishing *before* the deadline cannot
+        // contain a degraded projection — only those results are published.
+        if self.options.deadline.is_none_or(|d| std::time::Instant::now() < d) {
+            self.memo.put(&key, &crate::incremental::encode_theta_entry(&analysis));
+        }
+        analysis.stats.wall_nanos = started.elapsed().as_nanos();
+        (analysis, Some(false))
+    }
+
+    /// Analyze one recursive SCC: choose the δ's (§6.1 or Appendix C), then
+    /// run the θ search.
+    fn analyze_scc(&self, rules: &[&Rule], members: &[PredKey]) -> SccAnalysis {
+        // θ space: one variable per bound argument of each member.
+        let mut space = ThetaSpace::new();
+        for p in members {
+            let bound = self.modes.get(p).map(|a| a.bound_positions().len()).unwrap_or(p.arity);
+            space.add_pred(p, bound);
+        }
+
+        // Build all rule × recursive-subgoal pairs.
+        let mut pairs: Vec<RuleSubgoalSystem> = Vec::new();
+        for (ri, rule) in rules.iter().enumerate() {
+            for si in self.graph.recursive_subgoals(rule) {
+                pairs.push(crate::pairs::build_pair_with_norm(
+                    rule,
+                    ri,
+                    si,
+                    self.modes,
+                    self.rels,
+                    self.options.norm,
+                ));
+            }
+        }
+
+        match self.options.delta_mode {
+            DeltaMode::Paper => {
+                // §6.1: fixed δ's + zero-cycle check.
+                let assignment = match assign_deltas(members, &pairs) {
+                    DeltaOutcome::Ok(a) => a,
+                    DeltaOutcome::ZeroWeightCycle(cycle) => {
+                        return SccAnalysis {
+                            members: members.to_vec(),
+                            outcome: SccOutcome::ZeroWeightCycle(cycle),
+                            theta_constraints: ConstraintSystem::new(),
+                            theta_space: space,
+                            pair_count: pairs.len(),
+                            blame: None,
+                            stats: SccStats::default(),
+                        };
+                    }
+                };
+                let terms = pairs
+                    .iter()
+                    .map(|p| DeltaTerm::Constant(assignment.get(&p.head_pred, &p.sub_pred)))
+                    .collect();
+                let w_base = space.len();
+                self.theta_search(rules, members, pairs, space, Vec::new(), terms, w_base, |_| {
+                    assignment.delta.iter().map(|(e, d)| (e.clone(), Rat::from_int(*d))).collect()
+                })
+            }
+            DeltaMode::PathConstraints => {
+                // Appendix C: symbolic δ's with positive-cycle path
+                // constraints; the δ variables stay free.
+                let edges: BTreeSet<(PredKey, PredKey)> =
+                    pairs.iter().map(|p| (p.head_pred.clone(), p.sub_pred.clone())).collect();
+                let delta_base: Var = space.len();
+                let deltas = DeltaVars::allocate(&edges, delta_base);
+                let pi_base = delta_base + deltas.len();
+                let cycle_sys = positive_cycle_constraints(members, &deltas, pi_base);
+                let terms = pairs
+                    .iter()
+                    .map(|p| {
+                        let dv = deltas.get(&p.head_pred, &p.sub_pred).expect("edge allocated");
+                        DeltaTerm::Variable(dv)
+                    })
+                    .collect();
+                let w_base = pi_base + members.len() * members.len();
+                let base = vec![cycle_sys];
+                self.theta_search(rules, members, pairs, space, base, terms, w_base, |point| {
+                    deltas
+                        .iter()
+                        .map(|(e, v)| (e.clone(), point.get(v).cloned().unwrap_or_else(Rat::zero)))
+                        .collect()
+                })
+            }
+        }
+    }
+
+    /// The θ search of one SCC: build every pair's Eq. (9) system with its
+    /// δ term (`terms[i]` for `pairs[i]`), project the systems across the
+    /// worker pool, conjoin them with the `base` systems, and test
+    /// feasibility by simplex; on failure, blame the pair that blocks the
+    /// proof. `chosen_deltas` reads the δ per edge off a feasible point.
+    #[allow(clippy::too_many_arguments)] // one slot per δ-mode-specific input
+    fn theta_search(
+        &self,
+        rules: &[&Rule],
+        members: &[PredKey],
+        pairs: Vec<RuleSubgoalSystem>,
+        space: ThetaSpace,
+        base: Vec<ConstraintSystem>,
+        terms: Vec<DeltaTerm>,
+        mut w_base: Var,
+        chosen_deltas: impl Fn(&BTreeMap<Var, Rat>) -> BTreeMap<(PredKey, PredKey), Rat>,
+    ) -> SccAnalysis {
+        // Build every pair's Eq. (9) system sequentially (the w base
+        // advances pair by pair), then fan the expensive Fourier–Motzkin
+        // projections across the worker pool. The sequential path stops at
+        // the first failed projection, so the results are truncated at the
+        // first `None` — identical `pair_systems` prefix, identical outcome.
+        let mut systems = Vec::with_capacity(pairs.len());
+        for (pair, term) in pairs.iter().zip(terms) {
+            let (sys, w) = eq9_system(pair, &space, w_base, term);
+            w_base += w.len();
+            systems.push((sys, w));
+        }
+        let workers = crate::par::effective_workers(self.options.parallelism, systems.len());
+        let cfg = argus_linear::FmConfig { deadline: self.options.deadline, ..dual_fm_config() };
+        let results = crate::par::par_map_indexed(&systems, workers, |_, (sys, w)| {
+            let mut st = FmStats::default();
+            let r = project_pair_with(sys, w, &cfg, Some(self.cache), &mut st);
+            (r, st)
+        });
+        // Merge *every* pair's FM counters (not just the prefix before a
+        // failed projection) so stats stay identical across `--jobs`.
+        let mut fm_stats = FmStats::default();
+        let projections = results.len() as u64;
+        let mut pair_systems = Vec::new();
+        let mut ok = true;
+        for (r, st) in results {
+            fm_stats.merge(&st);
+            if !ok {
+                continue;
+            }
+            match r {
+                Some(p) => pair_systems.push(p),
+                None => ok = false,
+            }
+        }
+        let mut projected = base.clone();
+        projected.extend(pair_systems.iter().cloned());
+        let (theta_sys, nonneg) = feasibility_system(&projected, &space);
+        let outcome = if !ok {
+            SccOutcome::NoLinearDecrease { refutation: None }
+        } else {
+            match argus_linear::simplex::feasible_point(&theta_sys, &nonneg) {
+                Some(point) => SccOutcome::Proved {
+                    witness: space.extract_witness(&point),
+                    deltas: chosen_deltas(&point),
+                },
+                None => {
+                    SccOutcome::NoLinearDecrease { refutation: refute_theta(&theta_sys, &nonneg) }
+                }
+            }
+        };
+        let blame = match &outcome {
+            SccOutcome::NoLinearDecrease { .. } => {
+                compute_blame(rules, &pairs, &base, &pair_systems, &space, !ok)
+            }
+            _ => None,
+        };
+        SccAnalysis {
+            members: members.to_vec(),
+            outcome,
+            theta_constraints: theta_sys,
+            theta_space: space,
+            pair_count: pairs.len(),
+            blame,
+            stats: SccStats { wall_nanos: 0, fm: fm_stats, projections },
+        }
+    }
 }
 
 /// Attempt a Farkas refutation of the θ feasibility system (including its
@@ -846,210 +989,6 @@ fn restrict_to_binary_orders(rels: &SizeRelations) -> SizeRelations {
         );
     }
     out
-}
-
-/// Analyze one recursive SCC.
-#[allow(clippy::too_many_arguments)] // shared immutable analysis context, one slot each
-fn analyze_scc(
-    graph: &DepGraph,
-    program: &Program,
-    scc_id: usize,
-    members: &[PredKey],
-    modes: &ModeMap,
-    rels: &SizeRelations,
-    options: &AnalysisOptions,
-    cache: Option<&ProjectionCache>,
-) -> SccAnalysis {
-    // θ space: one variable per bound argument of each member.
-    let mut space = ThetaSpace::new();
-    for p in members {
-        let bound = modes.get(p).map(|a| a.bound_positions().len()).unwrap_or(p.arity);
-        space.add_pred(p, bound);
-    }
-
-    // Build all rule × recursive-subgoal pairs.
-    let rules = graph.scc_rules(program, scc_id);
-    let mut pairs: Vec<RuleSubgoalSystem> = Vec::new();
-    for (ri, rule) in rules.iter().enumerate() {
-        for si in graph.recursive_subgoals(rule) {
-            pairs.push(crate::pairs::build_pair_with_norm(rule, ri, si, modes, rels, options.norm));
-        }
-    }
-
-    match options.delta_mode {
-        DeltaMode::Paper => {
-            // §6.1: fixed δ's + zero-cycle check.
-            let assignment = match assign_deltas(members, &pairs) {
-                DeltaOutcome::Ok(a) => a,
-                DeltaOutcome::ZeroWeightCycle(cycle) => {
-                    return SccAnalysis {
-                        members: members.to_vec(),
-                        outcome: SccOutcome::ZeroWeightCycle(cycle),
-                        theta_constraints: ConstraintSystem::new(),
-                        theta_space: space,
-                        pair_count: pairs.len(),
-                        blame: None,
-                        stats: SccStats::default(),
-                    };
-                }
-            };
-            // Build every pair's Eq. (9) system sequentially (the w base
-            // advances pair by pair), then fan the expensive Fourier–
-            // Motzkin projections across the worker pool. The sequential
-            // path stops at the first failed projection, so the results
-            // are truncated at the first `None` — identical `projected`
-            // prefix, identical outcome.
-            let mut systems = Vec::with_capacity(pairs.len());
-            let mut w_base: Var = space.len();
-            for pair in &pairs {
-                let d = assignment.get(&pair.head_pred, &pair.sub_pred);
-                let (sys, w) = eq9_system(pair, &space, w_base, DeltaTerm::Constant(d));
-                w_base += w.len();
-                systems.push((sys, w));
-            }
-            let workers = crate::par::effective_workers(options.parallelism, systems.len());
-            let cfg = argus_linear::FmConfig {
-                deadline: options.deadline,
-                ..dual_fm_config(options.fm_tier)
-            };
-            let results = crate::par::par_map_indexed(&systems, workers, |_, (sys, w)| {
-                let mut st = FmStats::default();
-                let r = project_pair_with(sys, w, &cfg, cache, &mut st);
-                (r, st)
-            });
-            // Merge *every* pair's FM counters (not just the prefix before a
-            // failed projection) so stats stay identical across `--jobs`.
-            let mut fm_stats = FmStats::default();
-            let projections = results.len() as u64;
-            let mut projected = Vec::new();
-            let mut ok = true;
-            for (r, st) in results {
-                fm_stats.merge(&st);
-                if !ok {
-                    continue;
-                }
-                match r {
-                    Some(p) => projected.push(p),
-                    None => ok = false,
-                }
-            }
-            let (theta_sys, nonneg) = feasibility_system(&projected, &space);
-            let outcome = if !ok {
-                SccOutcome::NoLinearDecrease { refutation: None }
-            } else {
-                match argus_linear::simplex::feasible_point(&theta_sys, &nonneg) {
-                    Some(point) => SccOutcome::Proved {
-                        witness: space.extract_witness(&point),
-                        deltas: assignment
-                            .delta
-                            .iter()
-                            .map(|(e, d)| (e.clone(), Rat::from_int(*d)))
-                            .collect(),
-                    },
-                    None => SccOutcome::NoLinearDecrease {
-                        refutation: refute_theta(&theta_sys, &nonneg),
-                    },
-                }
-            };
-            let blame = match &outcome {
-                SccOutcome::NoLinearDecrease { .. } => {
-                    compute_blame(&rules, &pairs, &[], &projected, &space, !ok)
-                }
-                _ => None,
-            };
-            SccAnalysis {
-                members: members.to_vec(),
-                outcome,
-                theta_constraints: theta_sys,
-                theta_space: space,
-                pair_count: pairs.len(),
-                blame,
-                stats: SccStats { wall_nanos: 0, fm: fm_stats, projections },
-            }
-        }
-        DeltaMode::PathConstraints => {
-            // Appendix C: symbolic δ's with positive-cycle path constraints.
-            let edges: BTreeSet<(PredKey, PredKey)> =
-                pairs.iter().map(|p| (p.head_pred.clone(), p.sub_pred.clone())).collect();
-            let delta_base: Var = space.len();
-            let deltas = DeltaVars::allocate(&edges, delta_base);
-            let pi_base = delta_base + deltas.len();
-            let cycle_sys = positive_cycle_constraints(members, &deltas, pi_base);
-
-            let base = vec![cycle_sys];
-            // Same build-then-fan-out shape as the §6.1 branch: sequential
-            // w allocation, parallel projections, truncate at first `None`.
-            let mut systems = Vec::with_capacity(pairs.len());
-            let mut w_base: Var = pi_base + members.len() * members.len();
-            for pair in &pairs {
-                let dv = deltas.get(&pair.head_pred, &pair.sub_pred).expect("edge allocated");
-                let (sys, w) = eq9_system(pair, &space, w_base, DeltaTerm::Variable(dv));
-                w_base += w.len();
-                systems.push((sys, w));
-            }
-            let workers = crate::par::effective_workers(options.parallelism, systems.len());
-            let cfg = argus_linear::FmConfig {
-                deadline: options.deadline,
-                ..dual_fm_config(options.fm_tier)
-            };
-            let results = crate::par::par_map_indexed(&systems, workers, |_, (sys, w)| {
-                let mut st = FmStats::default();
-                let r = project_pair_with(sys, w, &cfg, cache, &mut st);
-                (r, st)
-            });
-            let mut fm_stats = FmStats::default();
-            let projections = results.len() as u64;
-            let mut pair_systems = Vec::new();
-            let mut ok = true;
-            for (r, st) in results {
-                fm_stats.merge(&st);
-                if !ok {
-                    continue;
-                }
-                match r {
-                    Some(p) => pair_systems.push(p),
-                    None => ok = false,
-                }
-            }
-            let mut projected = base.clone();
-            projected.extend(pair_systems.iter().cloned());
-            let (theta_sys, nonneg) = feasibility_system(&projected, &space);
-            // δ variables stay free (that is the point of Appendix C).
-            let outcome = if !ok {
-                SccOutcome::NoLinearDecrease { refutation: None }
-            } else {
-                match argus_linear::simplex::feasible_point(&theta_sys, &nonneg) {
-                    Some(point) => SccOutcome::Proved {
-                        witness: space.extract_witness(&point),
-                        deltas: deltas
-                            .iter()
-                            .map(|(e, v)| {
-                                (e.clone(), point.get(v).cloned().unwrap_or_else(Rat::zero))
-                            })
-                            .collect(),
-                    },
-                    None => SccOutcome::NoLinearDecrease {
-                        refutation: refute_theta(&theta_sys, &nonneg),
-                    },
-                }
-            };
-            let blame = match &outcome {
-                SccOutcome::NoLinearDecrease { .. } => {
-                    compute_blame(&rules, &pairs, &base, &pair_systems, &space, !ok)
-                }
-                _ => None,
-            };
-            SccAnalysis {
-                members: members.to_vec(),
-                outcome,
-                theta_constraints: theta_sys,
-                theta_space: space,
-                pair_count: pairs.len(),
-                blame,
-                stats: SccStats { wall_nanos: 0, fm: fm_stats, projections },
-            }
-        }
-    }
 }
 
 /// Isolate the rule × recursive-subgoal pair that blocks the θ search.

@@ -22,7 +22,7 @@
 
 use crate::pairs::{ProjectionCache, ProjectionEntry, ProjectionKey, RuleSubgoalSystem};
 use crate::theta::ThetaSpace;
-use argus_linear::fm::{self, FmConfig, FmResult, FmStats, FmTier};
+use argus_linear::fm::{self, FmConfig, FmResult, FmStats};
 use argus_linear::{simplex, Constraint, ConstraintSystem, IntRow, LinExpr, Rat, Rel, Var};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -119,10 +119,10 @@ pub fn eq9_system(
     (sys, w_vars)
 }
 
-/// FM configuration for the dual-projection path: the requested redundancy
+/// FM configuration for the dual-projection path: the default redundancy
 /// tier under the path's historical 2000-row cap.
-pub fn dual_fm_config(tier: FmTier) -> FmConfig {
-    FmConfig { tier, max_rows: 2000, ..FmConfig::default() }
+pub fn dual_fm_config() -> FmConfig {
+    FmConfig { max_rows: 2000, ..FmConfig::default() }
 }
 
 /// Eliminate the `w` variables of a pair's Eq. (9) system by Fourier–
@@ -131,7 +131,7 @@ pub fn dual_fm_config(tier: FmTier) -> FmConfig {
 /// *every* θ (which would mean this pair admits no linear decrease at all).
 pub fn project_pair(sys: &ConstraintSystem, w_vars: &[Var]) -> Option<ConstraintSystem> {
     let mut stats = FmStats::default();
-    project_pair_with(sys, w_vars, &dual_fm_config(FmTier::default()), None, &mut stats)
+    project_pair_with(sys, w_vars, &dual_fm_config(), None, &mut stats)
 }
 
 /// [`project_pair`] with an explicit FM configuration, an optional shared

@@ -15,7 +15,7 @@
 //!   value downstream fixpoints consume) and its minimized form (the value
 //!   the θ analysis consumes).
 //! - **θ entry** (phase B): keyed on the SCC's rules, the analysis options
-//!   that affect results (δ mode, norm, lexicographic fallback, FM tier),
+//!   that affect results (δ mode, norm, lexicographic fallback),
 //!   each mentioned predicate's adornment, and the final (minimized,
 //!   post-import, post-restriction) size relation of every predicate the
 //!   rules mention. Stores the outcome, the reduced θ system, blame (as
@@ -26,10 +26,10 @@
 //! dirty cone — is a pure hit, and the replayed result is byte-identical
 //! to a cold run (the fuzz oracle `argus fuzz --incremental` and the
 //! byte-identity test tier enforce this). Keys deliberately exclude source
-//! spans, worker counts, the projection-cache knob, and the deadline; the
-//! first is rendering-only metadata re-derived on hit, the rest are
-//! byte-identical knobs (a deadline that actually fired suppresses the
-//! `put`, so degraded results are never cached).
+//! spans, worker counts, and the deadline; the first is rendering-only
+//! metadata re-derived on hit, the rest are byte-identical knobs (a
+//! deadline that actually fired suppresses the `put`, so degraded results
+//! are never cached).
 //!
 //! The on-disk format (one file per entry under `--cache-dir`, default
 //! `$ARGUS_CACHE_DIR`, `$XDG_CACHE_HOME/argus`, or `~/.cache/argus`) is a
@@ -47,7 +47,7 @@ use crate::lexico::LexicographicProof;
 use crate::theta::ThetaSpace;
 use argus_linear::fm::FmStats;
 use argus_linear::{Constraint, ConstraintSystem, LinExpr, Poly, Rat, Rel};
-use argus_logic::hash::{hash_rule, Fnv64};
+use argus_logic::hash::{fnv1a64, hash_rule, Fnv64};
 use argus_logic::modes::ModeMap;
 use argus_logic::{PredKey, Rule};
 use argus_sizerel::{InferOptions, SizeRelations};
@@ -58,7 +58,7 @@ use std::sync::{Arc, Mutex};
 
 /// Version tag of both the key grammar and the entry encoding. Bump on any
 /// change to either; old entries then miss and age out.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Magic prefix of on-disk entry files.
 const MAGIC: &[u8; 8] = b"ARGSCC\x01\n";
@@ -202,11 +202,10 @@ pub(crate) fn theta_key(
 ) -> String {
     use std::fmt::Write as _;
     let mut key = format!(
-        "B{SCHEMA_VERSION}|norm={:?}|delta={:?}|lex={}|tier={:?}|m=",
+        "B{SCHEMA_VERSION}|norm={:?}|delta={:?}|lex={}|m=",
         options.norm,
         options.delta_mode,
         u8::from(options.lexicographic),
-        options.fm_tier,
     );
     for p in members {
         let _ = write!(key, "{p}:");
@@ -803,13 +802,6 @@ impl std::fmt::Debug for SccCache {
             .field("misses", &self.misses.load(Ordering::Relaxed))
             .finish()
     }
-}
-
-/// FNV-1a64 of a byte string (bucket hash and disk file name).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(bytes);
-    h.finish()
 }
 
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);

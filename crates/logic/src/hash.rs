@@ -67,6 +67,13 @@ impl Default for Fnv64 {
     }
 }
 
+/// FNV-1a (64-bit) of a byte string in one pass.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv64::new();
+    h.write(bytes);
+    h.finish()
+}
+
 /// Absorb a term: a shape tag, then the symbol name, then (for
 /// applications) arity and arguments.
 pub fn hash_term(h: &mut Fnv64, t: &Term) {

@@ -173,12 +173,7 @@ fn interner() -> &'static Interner {
 
 fn shard_of(s: &str) -> usize {
     // FNV-1a over the bytes; independent of the map's own hasher.
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in s.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    (h as usize) % NSHARDS
+    (crate::hash::fnv1a64(s.as_bytes()) as usize) % NSHARDS
 }
 
 impl Interner {

@@ -16,19 +16,10 @@
 //! single lock — the critical section is a hash-map probe, no analysis
 //! work ever happens while it's held.
 
+use argus_logic::hash::fnv1a64;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// 64-bit FNV-1a — the content address of a canonical request key.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 struct Entry {
     key: String,

@@ -27,7 +27,6 @@ use argus_core::{
 };
 use argus_diag::render::{render_json, render_text};
 use argus_diag::{lint_source, Diagnostic, LintOptions, Severity};
-use argus_linear::FmTier;
 use argus_logic::modes::Adornment;
 use argus_logic::parser::parse_program;
 use argus_logic::span::{LineIndex, Span};
@@ -106,7 +105,7 @@ enum AnalyzeOutcome {
 }
 
 /// Top-level keys accepted by `/v1/analyze` (and batch items).
-const ANALYZE_KEYS: [&str; 12] = [
+const ANALYZE_KEYS: [&str; 10] = [
     "program",
     "query",
     "adornment",
@@ -115,8 +114,6 @@ const ANALYZE_KEYS: [&str; 12] = [
     "no_transform",
     "lexicographic",
     "jobs",
-    "fm_tier",
-    "no_fm_cache",
     "stats",
     "engine",
 ];
@@ -132,10 +129,8 @@ fn default_analyze_key(query: &PredKey, adornment: &Adornment, src: &str) -> Str
     let defaults = AnalysisOptions::default();
     format!(
         "argus/v1\u{1}q={query}\u{1}a={adornment}\u{1}norm=structural\u{1}\
-         delta=paper\u{1}transform={}\u{1}lex=0\u{1}tier={}\u{1}fmcache=1\u{1}\
-         engine=theta\u{1}\n{src}",
+         delta=paper\u{1}transform={}\u{1}lex=0\u{1}engine=theta\u{1}\n{src}",
         defaults.transform_phases,
-        defaults.fm_tier.index(),
     )
 }
 
@@ -151,8 +146,6 @@ struct Prepared {
     engine: &'static str,
     /// Canonical content address (everything that determines the bytes).
     cache_key: String,
-    /// Whether to use the process-lifetime projection cache.
-    share_projections: bool,
 }
 
 /// Resolve a validated engine tag to the engine list and race flag, as
@@ -584,11 +577,7 @@ impl ServerState {
         // `stats` requests always get a fresh per-run cache (and no SCC
         // memo) so their `run_stats` are byte-identical to `argus analyze
         // --stats --json`.
-        let shared = if prepared.share_projections && !prepared.stats {
-            Some(&self.projections)
-        } else {
-            None
-        };
+        let shared = if prepared.stats { None } else { Some(&self.projections) };
         let memo = if prepared.stats { None } else { Some(&self.scc) };
         let report = analyze_with_caches(
             &prepared.program,
@@ -707,13 +696,6 @@ impl ServerState {
         if let Some(jobs) = uint_field("jobs")? {
             options.parallelism = jobs as usize;
         }
-        if let Some(tier) = uint_field("fm_tier")? {
-            options.fm_tier = match FmTier::from_index(tier as usize) {
-                Some(t) => t,
-                None => return Err(bad(format!("\"fm_tier\" wants 0..=3, got {tier}"))),
-            };
-        }
-        options.fm_cache = !bool_field("no_fm_cache")?;
         let stats = bool_field("stats")?;
         let engine: &'static str = match str_field("engine")? {
             None | Some("theta") => "theta",
@@ -771,29 +753,14 @@ impl ServerState {
         }
 
         // The content address: every input that determines the response
-        // bytes. `jobs`, `fm_tier`, and `fm_cache` are bytes-identical
-        // knobs by construction, but the latter two are cheap to include
-        // and make the key self-evidently sound.
+        // bytes (`jobs` is a bytes-identical knob by construction).
         let cache_key = format!(
             "argus/v1\u{1}q={query_spec}\u{1}a={adn_spec}\u{1}norm={norm_tag}\u{1}\
-             delta={delta_tag}\u{1}transform={}\u{1}lex={}\u{1}tier={}\u{1}fmcache={}\u{1}\
-             engine={engine}\u{1}\n{src}",
-            options.transform_phases,
-            options.lexicographic as u8,
-            options.fm_tier.index(),
-            options.fm_cache as u8,
+             delta={delta_tag}\u{1}transform={}\u{1}lex={}\u{1}engine={engine}\u{1}\n{src}",
+            options.transform_phases, options.lexicographic as u8,
         );
 
-        Ok(Prepared {
-            program,
-            query,
-            adornment,
-            share_projections: options.fm_cache,
-            options,
-            stats,
-            engine,
-            cache_key,
-        })
+        Ok(Prepared { program, query, adornment, options, stats, engine, cache_key })
     }
 }
 
@@ -1185,12 +1152,17 @@ mod tests {
     #[test]
     fn unknown_key_is_rejected() {
         let s = state();
-        let resp = s.handle(&post(
-            "/v1/analyze",
-            "{\"program\":\"p.\",\"query\":\"p/0\",\"adornment\":\"\",\"bogus\":1}",
-        ));
-        assert_eq!(resp.status, 400);
-        assert!(String::from_utf8(resp.body).unwrap().contains("unknown key \\\"bogus\\\""));
+        for (key, value) in [("bogus", "1"), ("fm_tier", "2"), ("no_fm_cache", "true")] {
+            let resp = s.handle(&post(
+                "/v1/analyze",
+                &format!(
+                    "{{\"program\":\"p.\",\"query\":\"p/0\",\"adornment\":\"\",\"{key}\":{value}}}"
+                ),
+            ));
+            assert_eq!(resp.status, 400, "{key}");
+            let body = String::from_utf8(resp.body).unwrap();
+            assert!(body.contains(&format!("unknown key \\\"{key}\\\"")), "{body}");
+        }
     }
 
     #[test]

@@ -195,7 +195,7 @@ pub fn rule_poly_instrumented(
     rule_poly_ids(rule, &ids, env, cfg, stats, &mut ctx)
 }
 
-/// Per-program size-polynomial context: every argument term is interned
+/// Per-SCC size-polynomial context: every argument term is interned
 /// into one flat [`TermArena`] (hash-consed, so repeated argument shapes
 /// share nodes) and its norm polynomial is computed on indices exactly
 /// once, no matter how many fixpoint iterations revisit the rule.
@@ -382,18 +382,9 @@ pub fn infer_size_relations_instrumented(
     cfg: &fm::FmConfig,
     stats: &mut fm::FmStats,
 ) -> SizeRelations {
-    let rule_cfg = fm::FmConfig { max_rows: cfg.max_rows.min(FM_ROW_CAP), ..*cfg };
-    let hull_cfg =
-        fm::FmConfig { max_rows: cfg.max_rows.min(argus_linear::poly::HULL_ROW_CAP), ..*cfg };
     let graph = DepGraph::build(program);
     let index = ProcIndex::build(program);
-    // One arena + polynomial memo for the whole program: argument-term
-    // polynomials are computed once, then every fixpoint iteration (and
-    // every SCC) reuses them by id.
-    let mut ctx = SizeCtx::new(options.norm);
-    let rule_ids: Vec<RuleIds> = program.rules.iter().map(|r| RuleIds::of(r, &mut ctx)).collect();
     let mut rels = SizeRelations::new();
-
     for scc_id in graph.sccs_bottom_up() {
         let members: Vec<PredKey> =
             graph.scc(scc_id).into_iter().filter(|p| !index.rule_indices(p).is_empty()).collect();
@@ -401,76 +392,81 @@ pub fn infer_size_relations_instrumented(
             continue; // EDB-only SCC; stays at implicit top.
         }
         let recursive = members.iter().any(|p| graph.is_recursive(p));
-        infer_scc_inner(
-            program,
-            &index,
-            &members,
-            recursive,
-            &mut rels,
-            options,
-            &rule_cfg,
-            &hull_cfg,
-            stats,
-            &mut ctx,
-            &IdsTable::Full(&rule_ids),
-        );
+        infer_scc(program, &index, &members, recursive, &mut rels, options, cfg, stats);
     }
     // Canonicalize: drop redundant rows so downstream consumers (the
     // termination analyzer's Eq. 1 assembly) see minimal systems, matching
     // the paper's hand-derived constraint shapes.
-    let keys: Vec<PredKey> = rels.map.keys().cloned().collect();
-    for k in keys {
-        let minimized = rels.map[&k].minimized();
-        rels.map.insert(k, minimized);
+    for poly in rels.map.values_mut() {
+        *poly = poly.minimized();
     }
     rels
 }
 
-/// Rule-id lookup used by the shared per-SCC fixpoint body: the global
-/// entry point precomputes ids for the whole program, while the per-SCC
-/// entry point builds them only for the SCC's own rules.
-enum IdsTable<'a> {
-    Full(&'a [RuleIds]),
-    Sparse(&'a BTreeMap<usize, RuleIds>),
-}
-
-impl IdsTable<'_> {
-    fn get(&self, ri: usize) -> &RuleIds {
-        match self {
-            IdsTable::Full(v) => &v[ri],
-            IdsTable::Sparse(m) => &m[&ri],
-        }
-    }
-}
-
-/// The per-SCC inference body shared by [`infer_size_relations_instrumented`]
-/// and [`infer_scc_sizes`]: a single pass for non-recursive SCCs, a Kleene
-/// iteration with delayed widening for recursive ones. On return `rels`
-/// holds the SCC's *work-state* polyhedra (inserted pre-minimized between
-/// iterations, not re-minimized at the end) — callers that feed the result
-/// to the termination analyzer must still canonicalize with
-/// [`Poly::minimized`].
-#[allow(clippy::too_many_arguments)]
-fn infer_scc_inner(
+/// Run the size-relation fixpoint for a single SCC against an environment
+/// `rels` that already holds the work-state polyhedra of every callee SCC
+/// (absent entries are treated as top).
+///
+/// `members` must list the SCC's predicates that have rules, in the
+/// [`DepGraph::scc`] order, and `recursive` must be the SCC's
+/// [`DepGraph::is_recursive`] status — the values
+/// [`infer_size_relations`] derives. On return `rels` holds the SCC's
+/// *work-state* polyhedra (inserted pre-minimized between iterations, not
+/// re-minimized at the end): callers that feed the result to the
+/// termination analyzer must still canonicalize with [`Poly::minimized`].
+pub fn infer_scc_sizes(
     program: &Program,
     index: &ProcIndex,
     members: &[PredKey],
     recursive: bool,
     rels: &mut SizeRelations,
     options: &InferOptions,
-    rule_cfg: &fm::FmConfig,
-    hull_cfg: &fm::FmConfig,
-    stats: &mut fm::FmStats,
-    ctx: &mut SizeCtx,
-    ids: &IdsTable<'_>,
 ) {
+    let cfg = fm::FmConfig::default();
+    infer_scc(program, index, members, recursive, rels, options, &cfg, &mut fm::FmStats::default());
+}
+
+/// The per-SCC inference body: a single pass for non-recursive SCCs, a
+/// Kleene iteration with delayed widening for recursive ones, under the
+/// FM configuration `cfg` (capped at the production row limits).
+#[allow(clippy::too_many_arguments)]
+fn infer_scc(
+    program: &Program,
+    index: &ProcIndex,
+    members: &[PredKey],
+    recursive: bool,
+    rels: &mut SizeRelations,
+    options: &InferOptions,
+    cfg: &fm::FmConfig,
+    stats: &mut fm::FmStats,
+) {
+    let rule_cfg = fm::FmConfig { max_rows: cfg.max_rows.min(FM_ROW_CAP), ..*cfg };
+    let hull_cfg =
+        fm::FmConfig { max_rows: cfg.max_rows.min(argus_linear::poly::HULL_ROW_CAP), ..*cfg };
+    // One arena + polynomial memo per SCC: argument-term polynomials are
+    // computed once, then every fixpoint iteration reuses them by id.
+    let mut ctx = SizeCtx::new(options.norm);
+    let procedures: Vec<Vec<(&Rule, RuleIds)>> = members
+        .iter()
+        .map(|p| {
+            index
+                .rule_indices(p)
+                .iter()
+                .map(|&ri| {
+                    let rule = &program.rules[ri];
+                    (rule, RuleIds::of(rule, &mut ctx))
+                })
+                .collect()
+        })
+        .collect();
+
     // Non-recursive SCC: single pass.
     if !recursive {
-        for p in members {
+        for (p, procedure) in members.iter().zip(&procedures) {
             let mut acc = Poly::empty(p.arity);
-            for &ri in index.rule_indices(p) {
-                let rp = rule_poly_ids(&program.rules[ri], ids.get(ri), rels, rule_cfg, stats, ctx);
-                acc = acc.hull_with(&rp, hull_cfg, stats);
+            for (rule, ids) in procedure {
+                let rp = rule_poly_ids(rule, ids, rels, &rule_cfg, stats, &mut ctx);
+                acc = acc.hull_with(&rp, &hull_cfg, stats);
             }
             rels.insert(p.clone(), acc.minimized());
         }
@@ -484,15 +480,15 @@ fn infer_scc_inner(
     let mut stable = false;
     for iteration in 0..options.max_iterations {
         let mut changed = false;
-        for p in members {
+        for (p, procedure) in members.iter().zip(&procedures) {
             let old = rels.get(p).cloned().expect("seeded");
             let mut new = Poly::empty(p.arity);
-            for &ri in index.rule_indices(p) {
-                let rp = rule_poly_ids(&program.rules[ri], ids.get(ri), rels, rule_cfg, stats, ctx);
-                new = new.hull_with(&rp, hull_cfg, stats);
+            for (rule, ids) in procedure {
+                let rp = rule_poly_ids(rule, ids, rels, &rule_cfg, stats, &mut ctx);
+                new = new.hull_with(&rp, &hull_cfg, stats);
             }
             // Join with previous to enforce monotonicity, then widen.
-            let joined = old.hull_with(&new, hull_cfg, stats);
+            let joined = old.hull_with(&new, &hull_cfg, stats);
             let next =
                 if iteration >= options.widening_delay { old.widen(&joined) } else { joined };
             if !next.same_set(&old) {
@@ -514,52 +510,6 @@ fn infer_scc_inner(
             rels.insert(p.clone(), Poly::nonneg_universe(p.arity));
         }
     }
-}
-
-/// Run the size-relation fixpoint for a single SCC against an environment
-/// `rels` that already holds the work-state polyhedra of every callee SCC
-/// (absent entries are treated as top, exactly as in the global pass).
-///
-/// `members` must list the SCC's predicates that have rules, in the
-/// [`DepGraph::scc`] order, and `recursive` must be the SCC's
-/// [`DepGraph::is_recursive`] status — passing the same values the global
-/// pass derives makes the inserted polyhedra byte-identical to a cold
-/// [`infer_size_relations`] run. A fresh term arena is built for just this
-/// SCC's rules; the arena is a pure memo, so sharing or not sharing it
-/// does not change any result.
-pub fn infer_scc_sizes(
-    program: &Program,
-    index: &ProcIndex,
-    members: &[PredKey],
-    recursive: bool,
-    rels: &mut SizeRelations,
-    options: &InferOptions,
-) {
-    let cfg = fm::FmConfig::default();
-    let rule_cfg = fm::FmConfig { max_rows: cfg.max_rows.min(FM_ROW_CAP), ..cfg };
-    let hull_cfg =
-        fm::FmConfig { max_rows: cfg.max_rows.min(argus_linear::poly::HULL_ROW_CAP), ..cfg };
-    let mut stats = fm::FmStats::default();
-    let mut ctx = SizeCtx::new(options.norm);
-    let mut ids: BTreeMap<usize, RuleIds> = BTreeMap::new();
-    for p in members {
-        for &ri in index.rule_indices(p) {
-            ids.entry(ri).or_insert_with(|| RuleIds::of(&program.rules[ri], &mut ctx));
-        }
-    }
-    infer_scc_inner(
-        program,
-        index,
-        members,
-        recursive,
-        rels,
-        options,
-        &rule_cfg,
-        &hull_cfg,
-        &mut stats,
-        &mut ctx,
-        &IdsTable::Sparse(&ids),
-    );
 }
 
 #[cfg(test)]

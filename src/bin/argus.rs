@@ -4,8 +4,7 @@
 //! argus analyze <file.pl> <name/arity> <adornment> [--norm list-length]
 //!               [--delta appendix-c] [--no-transform] [--certify]
 //!               [--lexicographic] [--json] [--jobs N] [--stats]
-//!               [--fm-tier 0..3] [--no-fm-cache] [--engine ID]
-//!               [--incremental] [--cache-dir DIR]
+//!               [--engine ID] [--incremental] [--cache-dir DIR]
 //! argus watch   <file.pl> <name/arity> <adornment> [--cache-dir DIR]
 //!               [--jobs N] [--poll-ms N] [--iterations N]
 //! argus infer   <file.pl> [<name/arity> ...] [--json] [--jobs N]
@@ -60,8 +59,7 @@ fn usage() -> ExitCode {
         "usage:\n  argus analyze <file.pl> <name/arity> <adornment> \
          [--norm structural|list-length] [--delta paper|appendix-c] \
          [--no-transform] [--certify] [--lexicographic] [--jobs N] \
-         [--stats] [--fm-tier 0..3] [--no-fm-cache] \
-         [--engine theta|sct|bs|uvg|naish|portfolio] \
+         [--stats] [--engine theta|sct|bs|uvg|naish|portfolio] \
          [--incremental] [--cache-dir DIR]\n  \
          argus watch <file.pl> <name/arity> <adornment> [--cache-dir DIR] \
          [--jobs N] [--poll-ms N] [--iterations N]\n  \
@@ -128,7 +126,6 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
             "--lexicographic" => options.lexicographic = true,
             "--json" => json = true,
             "--stats" => stats = true,
-            "--no-fm-cache" => options.fm_cache = false,
             "--incremental" => incremental = true,
             "--cache-dir" => {
                 i += 1;
@@ -151,17 +148,6 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
                         return ExitCode::FAILURE;
                     }
                 };
-            }
-            "--fm-tier" => {
-                i += 1;
-                options.fm_tier =
-                    match args.get(i).and_then(|v| v.parse().ok()).and_then(FmTier::from_index) {
-                        Some(t) => t,
-                        None => {
-                            eprintln!("--fm-tier wants a redundancy tier 0..3");
-                            return ExitCode::FAILURE;
-                        }
-                    };
             }
             "--norm" => {
                 i += 1;
@@ -458,7 +444,10 @@ fn cmd_watch(args: &[String]) -> ExitCode {
         let content = std::fs::read_to_string(path);
         let sig: WatchSig = (
             mtime,
-            content.as_ref().ok().map(|s| (s.len() as u64, argus::serve::fnv1a64(s.as_bytes()))),
+            content
+                .as_ref()
+                .ok()
+                .map(|s| (s.len() as u64, argus::logic::hash::fnv1a64(s.as_bytes()))),
         );
         let changed = last_render.is_none() || last_sig.as_ref() != Some(&sig);
         if changed {

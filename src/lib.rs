@@ -65,7 +65,7 @@ pub use argus_transform as transform;
 pub mod prelude {
     pub use argus_core::{
         analyze, analyze_source, infer_conditions, infer_conditions_for, AnalysisOptions,
-        BackwardsOptions, DeltaMode, FmTier, InferenceReport, SccOutcome, TerminationCondition,
+        BackwardsOptions, DeltaMode, InferenceReport, SccOutcome, TerminationCondition,
         TerminationReport, Verdict,
     };
     pub use argus_diag::{lint_program, lint_source, Diagnostic, LintOptions, Severity};

@@ -59,40 +59,65 @@ fn variant_options_identical_across_worker_counts() {
     }
 }
 
-/// The FM redundancy tiers and the projection cache are performance knobs,
-/// not semantic ones: every corpus entry must render the identical report
-/// at every tier, with the cache on or off, at any worker count.
-///
-/// `mutual_fib_ring` exists precisely because tiers 0–1 cannot finish its
-/// pair projections in useful time (minutes-plus where tier 2 takes
-/// milliseconds), so for that entry only the feasible tiers are swept; the
-/// fuzz-reproducer replay covers tiers 0–1 identity on small programs.
+/// The projection cache is a pure accelerator: for every corpus pair's
+/// Eq. (9) system, the cached projection equals the uncached one, FM
+/// counters included — both when the lookup misses and computes, and when
+/// it hits and replays the stored entry.
 #[test]
-fn corpus_reports_identical_across_fm_tiers_and_cache() {
+fn projection_cache_matches_uncached_on_corpus() {
+    use argus::core::dual::{dual_fm_config, eq9_system, project_pair_with, DeltaTerm};
+    use argus::core::{assign_deltas, build_pair, DeltaOutcome, FmStats, ProjectionCache};
+    use argus::core::{RuleSubgoalSystem, ThetaSpace};
+    use argus::logic::{adorn_program, DepGraph};
+    let cfg = dual_fm_config();
+    let mut checked = 0;
     for entry in argus::corpus::corpus() {
-        let base = analyze_with_jobs(&entry, &AnalysisOptions::default());
-        for tier in FmTier::ALL {
-            if entry.name == "mutual_fib_ring" && tier.index() < FmTier::default().index() {
-                continue;
+        let program = entry.program().unwrap();
+        let (query, adornment) = entry.query_key();
+        let adorned = adorn_program(&program, &query, adornment);
+        let rels = infer_size_relations(&adorned.program, &InferOptions::default());
+        let graph = DepGraph::build(&adorned.program);
+        for scc in graph.sccs_bottom_up() {
+            let members = graph.scc(scc);
+            let mut space = ThetaSpace::new();
+            for p in &members {
+                let bound = adorned.modes.get(p).map(|a| a.bound_positions().len());
+                space.add_pred(p, bound.unwrap_or(p.arity));
             }
-            for fm_cache in [true, false] {
-                for jobs in [1, 4] {
-                    let options = AnalysisOptions {
-                        fm_tier: tier,
-                        fm_cache,
-                        parallelism: jobs,
-                        ..Default::default()
-                    };
-                    let got = analyze_with_jobs(&entry, &options);
+            let rules = graph.scc_rules(&adorned.program, scc);
+            let pairs: Vec<RuleSubgoalSystem> = rules
+                .iter()
+                .enumerate()
+                .flat_map(|(ri, rule)| {
+                    graph.recursive_subgoals(rule).into_iter().map(move |si| (ri, rule, si))
+                })
+                .map(|(ri, rule, si)| build_pair(rule, ri, si, &adorned.modes, &rels))
+                .collect();
+            let DeltaOutcome::Ok(deltas) = assign_deltas(&members, &pairs) else { continue };
+            let mut w_base = space.len();
+            for pair in &pairs {
+                let delta = DeltaTerm::Constant(deltas.get(&pair.head_pred, &pair.sub_pred));
+                let (sys, w) = eq9_system(pair, &space, w_base, delta);
+                w_base += w.len();
+                let mut plain_stats = FmStats::default();
+                let plain = project_pair_with(&sys, &w, &cfg, None, &mut plain_stats);
+                let cache = ProjectionCache::new();
+                for (lookup, hits) in [("miss", 0), ("hit", 1)] {
+                    let mut stats = FmStats::default();
+                    let cached = project_pair_with(&sys, &w, &cfg, Some(&cache), &mut stats);
+                    assert_eq!(cache.lookup_hits(), hits, "{}: {lookup} expected", entry.name);
+                    assert_eq!(cached, plain, "{}: projection differs on a {lookup}", entry.name);
                     assert_eq!(
-                        base, got,
-                        "{}: report differs at fm tier {tier:?}, cache {fm_cache}, --jobs {jobs}",
+                        stats, plain_stats,
+                        "{}: FM counters differ on a {lookup}",
                         entry.name
                     );
                 }
+                checked += 1;
             }
         }
     }
+    assert!(checked > 50, "only {checked} corpus pairs checked");
 }
 
 /// The `--stats` counters are deterministic by design (cache hits replay the
@@ -154,7 +179,7 @@ fn certificates_survive_parallel_analysis() {
 /// overwritten or dropped) would break the equality.
 #[test]
 fn shared_projection_cache_hammer() {
-    use argus::core::{analyze_with_cache, ProjectionCache};
+    use argus::core::{analyze_with_caches, ProjectionCache};
     let entries: Vec<_> = argus::corpus::corpus()
         .into_iter()
         .filter(|e| e.name != "mutual_fib_ring") // heavy; the others cover the races
@@ -182,12 +207,13 @@ fn shared_projection_cache_hammer() {
                         let entry = &entries[idx];
                         let program = entry.program().unwrap();
                         let (query, adornment) = entry.query_key();
-                        let report = analyze_with_cache(
+                        let report = analyze_with_caches(
                             &program,
                             &query,
                             adornment,
                             &AnalysisOptions { parallelism: 1, ..Default::default() },
                             Some(shared),
+                            None,
                         );
                         assert_eq!(
                             report.to_json(),
@@ -221,12 +247,13 @@ fn shared_projection_cache_hammer() {
                     let entry = &entries[idx];
                     let program = entry.program().unwrap();
                     let (query, adornment) = entry.query_key();
-                    let report = analyze_with_cache(
+                    let report = analyze_with_caches(
                         &program,
                         &query,
                         adornment,
                         &AnalysisOptions { parallelism: 1, ..Default::default() },
                         Some(tiny),
+                        None,
                     );
                     assert_eq!(
                         report.to_json(),
