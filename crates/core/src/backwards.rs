@@ -49,9 +49,9 @@
 use crate::analyze::{analyze_with_caches, AnalysisOptions, Verdict};
 use crate::certificate::verify_report;
 use crate::incremental::SccCache;
-use crate::json::json_str;
 use crate::pairs::ProjectionCache;
 use crate::par::{effective_workers, par_map_indexed};
+use argus_logic::json::json_str;
 use argus_logic::{adorn_program, Adornment, DepGraph, Dnf, PredKey, Program};
 use std::collections::{BTreeMap, BTreeSet};
 

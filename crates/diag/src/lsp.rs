@@ -20,8 +20,8 @@
 //! Spanless diagnostics (e.g. L003 on a predicate with no parsed rule)
 //! get the protocol's conventional zero range and no `data` field.
 
-use crate::render::json_str;
 use crate::{Diagnostic, Severity};
+use argus_logic::json::json_str;
 use argus_logic::span::{LineIndex, Span};
 
 /// The LSP `DiagnosticSeverity` value for `s`: Error → 1, Warning → 2,
